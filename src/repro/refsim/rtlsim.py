@@ -75,7 +75,9 @@ class RtlSimulator:
         self._stall: _Stall | None = None
         # dual-issue: an unpaired IP instruction issued this cycle
         self._pair_host: tuple[int, tuple[int, ...]] | None = None
-        self._fetch_checked: set[int] | None = None
+        # pc whose fetch already accessed the instruction cache; the
+        # clocks a stall holds it at the issue stage fetch nothing new
+        self._fetched_pc: int | None = None
         self.vcd = vcd
         if vcd is not None:
             for name, width in (("pc", 32), ("issue_valid", 1),
@@ -128,7 +130,8 @@ class RtlSimulator:
         decoded = self._decode(self.state.pc)
 
         # Instruction fetch: a new cache line stalls on a miss.
-        if self.icache is not None:
+        if self.icache is not None and self._fetched_pc != decoded.addr:
+            self._fetched_pc = decoded.addr
             penalty = self.icache.access_penalty(decoded.addr)
             if penalty:
                 self._stall = _Stall("icache", penalty)
@@ -180,7 +183,10 @@ class RtlSimulator:
 
     def _issue(self, decoded: DecodedInstr, paired: bool) -> None:
         issue_cycle = self._pair_host[0] if paired else self.cycle
-        self.memory.cycle = self.cycle
+        self._fetched_pc = None
+        # Bus transfers are stamped with the cycle after the issue cycle,
+        # the reference ISS's convention.
+        self.memory.cycle = issue_cycle + 1
         io_before = self.memory.io_accesses
         result = execute_expansion(list(decoded.expansion), self.state,
                                    self.memory, decoded.next_addr)

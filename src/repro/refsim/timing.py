@@ -25,6 +25,8 @@ Model summary (parameters from :class:`repro.arch.model.PipelineModel`):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from repro.arch.model import PipelineModel
 
@@ -73,47 +75,60 @@ class PipelineTimer:
 
     def issue(self, op: TimedOp) -> int:
         """Issue *op*; returns the cycle it issued in."""
-        issue_cycle = self._next_cycle
-        paired = False
-        if (
-            self.model.dual_issue
-            and op.iclass == "ls"
-            and self._pair_host is not None
-        ):
-            host_cycle, host_writes = self._pair_host
-            touches = set(op.reads) | set(op.writes)
-            if not touches.intersection(host_writes):
-                issue_cycle = host_cycle
-                paired = True
+        return self._issue(*self._facts(op))
 
-        # Register hazards can push the issue cycle later (and break a
-        # pairing that would have violated them — checked above only for
-        # the host's own writes; older in-flight results handled here).
-        for reg in op.reads:
-            ready = self._ready.get(reg)
-            if ready is not None and ready > issue_cycle:
-                issue_cycle = max(issue_cycle, ready)
-                paired = False
-        if not paired and issue_cycle < self._next_cycle:
-            issue_cycle = self._next_cycle
+    def bind(self, op: TimedOp) -> Callable[[], int]:
+        """Return a zero-argument :meth:`issue` of *op* for a hot loop.
 
+        The per-op facts (pairing eligibility, touched registers, result
+        latency) are derived once here instead of on every issue.
+        """
+        return partial(self._issue, *self._facts(op))
+
+    def _facts(self, op: TimedOp) -> tuple:
         if op.is_load:
             latency = 1 + self.model.load_use_stall
         elif op.is_mul:
             latency = self.model.mul_result_latency
         else:
             latency = 1
-        for reg in op.writes:
-            self._ready[reg] = issue_cycle + latency
+        return (self.model.dual_issue and op.iclass == "ls",
+                frozenset(op.reads) | frozenset(op.writes),
+                op.reads, op.writes, latency, op.iclass == "ip")
+
+    def _issue(self, may_pair: bool, touches: frozenset[int],
+               reads: tuple[int, ...], writes: tuple[int, ...],
+               latency: int, hosts_pair: bool) -> int:
+        next_cycle = self._next_cycle
+        issue_cycle = next_cycle
+        paired = False
+        host = self._pair_host
+        if may_pair and host is not None and touches.isdisjoint(host[1]):
+            issue_cycle = host[0]
+            paired = True
+
+        # Register hazards can push the issue cycle later (and break a
+        # pairing that would have violated them — checked above only for
+        # the host's own writes; older in-flight results handled here).
+        ready = self._ready
+        for reg in reads:
+            ready_at = ready.get(reg)
+            if ready_at is not None and ready_at > issue_cycle:
+                issue_cycle = ready_at
+                paired = False
+        if not paired and issue_cycle < next_cycle:
+            issue_cycle = next_cycle
+
+        done = issue_cycle + latency
+        for reg in writes:
+            ready[reg] = done
 
         if paired:
             # The pair slot is consumed; _next_cycle already points past
             # the host's cycle.
             self._pair_host = None
-            self._next_cycle = max(self._next_cycle, issue_cycle + 1)
+            self._next_cycle = max(next_cycle, issue_cycle + 1)
         else:
             self._next_cycle = issue_cycle + 1
-            self._pair_host = (
-                (issue_cycle, op.writes) if op.iclass == "ip" else None
-            )
+            self._pair_host = (issue_cycle, writes) if hosts_pair else None
         return issue_cycle

@@ -129,6 +129,30 @@ def test_against_naive_model(ways, sets_log, addrs):
             f"divergence at {addr:#x}")
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ways=st.integers(min_value=1, max_value=4),
+    sets_log=st.integers(min_value=0, max_value=3),
+    addrs=st.lists(st.integers(min_value=0, max_value=0x3FF), min_size=1,
+                   max_size=60),
+    offset=st.integers(min_value=0, max_value=15),
+)
+def test_reaccessing_most_recent_line_is_a_pure_hit(ways, sets_log, addrs,
+                                                    offset):
+    """The reference ISS counts a fetch from the line it fetched last as
+    a hit without calling :meth:`InstructionCache.access`; that is exact
+    only because such an access changes nothing but ``stats.hits``."""
+    cache = _cache(ways=ways, sets=1 << sets_log, line_size=16)
+    for addr in addrs:
+        cache.access(addr)
+    tags, ages = cache.contents(), [list(a) for a in cache._lru]
+    hits, misses = cache.stats.hits, cache.stats.misses
+    assert cache.access(cache.line_of(addrs[-1]) + offset)
+    assert cache.contents() == tags
+    assert cache._lru == ages
+    assert (cache.stats.hits, cache.stats.misses) == (hits + 1, misses)
+
+
 class TestBigKernelCapacityMisses:
     """The big kernels genuinely overflow the 2 KiB instruction cache.
 

@@ -1,12 +1,22 @@
 """Reference-simulator tests: semantics, timing behaviours, variants."""
 
+import dataclasses
+
 import pytest
 
+import repro.refsim.iss as iss_module
 from repro.arch.model import default_source_arch
-from repro.errors import SimulationError
+from repro.errors import BusError, SimulationError
+from repro.fuzz import generate
 from repro.isa.tricore.assembler import assemble
+from repro.minic.compiler import compile_source
+from repro.programs import registry
+from repro.refsim.irexec import compile_expansion
 from repro.refsim.iss import CycleAccurateISS, FunctionalISS, InterpretedISS
+from repro.translator.ir import IRInstr, IROp
 from repro.utils.bits import s32
+
+ALL_STYLES = (InterpretedISS, FunctionalISS, CycleAccurateISS)
 
 
 def run_asm(body: str, cls=FunctionalISS, arch=None, max_instructions=200_000):
@@ -291,6 +301,78 @@ class TestVariantEquivalence:
         b = run_asm(self.SOURCE, CycleAccurateISS)
         assert a.regs == b.regs
         assert b.cycles > b.instructions  # some timing cost exists
+
+    # The predecoded, compiled simulators against the interpreter that
+    # decodes and interprets every step: every RunResult field, and the
+    # same failure at the same point.
+
+    @pytest.mark.parametrize("name", registry.program_names())
+    def test_registry_program(self, name):
+        obj = registry.build(name)
+        assert FunctionalISS(obj).run() == InterpretedISS(obj).run()
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_generated_program(self, index):
+        obj = compile_source(generate(2026, index).render())
+        assert (FunctionalISS(obj).run(max_instructions=2_000_000)
+                == InterpretedISS(obj).run(max_instructions=2_000_000))
+
+    def test_unmapped_load_fails_at_the_same_point(self):
+        obj = assemble("""
+        _start:
+            li d1, 7
+            la a2, 0x40000000
+        bad:
+            ld.w d2, [a2]
+            halt
+        """)
+        stops = set()
+        for cls in ALL_STYLES:
+            iss = cls(obj)
+            with pytest.raises(BusError):
+                iss.run()
+            stops.add((iss.state.pc, iss.instructions, iss.state.regs[1]))
+        assert len(stops) == 1
+        pc, _count, d1 = stops.pop()
+        assert (pc, d1) == (obj.symbol_addr("bad"), 7)
+
+    @pytest.mark.parametrize("expansion", [
+        # reads a temp nothing wrote
+        [IRInstr(IROp.ADD, dst=1, a=40, b=41)],
+        # reads a temp whose only write is predicated off (d0 == 0)
+        [IRInstr(IROp.MVK, dst=40, imm=5, pred=0),
+         IRInstr(IROp.ADD, dst=1, a=40, imm=1)],
+    ])
+    def test_undefined_temp_read_raises(self, monkeypatch, expansion):
+        assert compile_expansion(expansion) is None  # left to interpret
+        obj = assemble("_start:\n    nop\n    halt\n")
+        real = iss_module.decode_instruction
+
+        def synthetic(fetch16, addr):
+            decoded = real(fetch16, addr)
+            if addr != obj.entry:
+                return decoded
+            return dataclasses.replace(decoded, expansion=tuple(expansion))
+
+        monkeypatch.setattr(iss_module, "decode_instruction", synthetic)
+        for cls in ALL_STYLES:
+            with pytest.raises(SimulationError, match="uninitialized temp"):
+                cls(obj).run()
+
+    @pytest.mark.parametrize("cls", ALL_STYLES)
+    def test_instruction_limit(self, cls):
+        iss = cls(assemble("_start:\ntop:\n    j top\n"))
+        with pytest.raises(SimulationError, match="instruction limit"):
+            iss.run(max_instructions=100)
+        assert iss.instructions == 100
+
+    @pytest.mark.parametrize("cls", ALL_STYLES)
+    def test_steps_then_run_equals_run(self, cls):
+        obj = registry.build("gcd")
+        iss = cls(obj)
+        for _ in range(500):
+            iss.step()
+        assert iss.run() == cls(obj).run()
 
 
 class TestTimingBehaviour:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.arch.model import default_source_arch
 from repro.isa.tricore.assembler import assemble
+from repro.programs import registry
 from repro.programs.registry import build
 from repro.refsim.iss import CycleAccurateISS
 from repro.refsim.rtlsim import RtlSimulator
@@ -12,8 +13,7 @@ from repro.refsim.vcd import VcdWriter
 
 
 class TestCycleEquality:
-    @pytest.mark.parametrize("name", ["gcd", "fir", "ellip", "dpcm",
-                                      "sieve", "subband", "uart_hello"])
+    @pytest.mark.parametrize("name", registry.program_names())
     def test_matches_reference_iss(self, name):
         obj = build(name)
         ref = CycleAccurateISS(obj).run()
@@ -23,7 +23,9 @@ class TestCycleEquality:
         assert rtl.regs == ref.regs
         assert rtl.data_image == ref.data_image
         assert rtl.exit_code == ref.exit_code
-        assert rtl.cache_stats.misses == ref.cache_stats.misses
+        assert rtl.uart_output == ref.uart_output
+        assert rtl.bus_trace == ref.bus_trace
+        assert rtl.cache_stats == ref.cache_stats
         assert rtl.branch_stats == ref.branch_stats
 
     def test_matches_with_custom_arch(self):

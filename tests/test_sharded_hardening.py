@@ -34,6 +34,7 @@ from repro.eval.sharded import (
     child_import_path,
     object_content_key,
 )
+from repro.isa.tricore.assembler import assemble
 from repro.objfile.elf import SEC_EXEC, ObjectFile, Section, load_bytes
 from repro.objfile.elf import dump_bytes
 from repro.programs.registry import build
@@ -102,10 +103,24 @@ class TestShardError:
         assert "SimulationError" in info.value.worker_traceback
 
     def test_pool_failure_names_the_shard_and_cancels_rest(self):
+        # cancel() cannot reach a shard the pool already handed on: one
+        # running per worker plus jobs + 1 in its call queue.  Queue more
+        # slow shards than that behind the broken one, so some are still
+        # pending when its error arrives (each spins ~10^5 instructions,
+        # far longer than the error takes to reach this process).
+        jobs = 2
+        spin = assemble("""
+        _start:
+            li d1, 50000
+        top:
+            add d1, d1, -1
+            jnz d1, top
+            halt
+        """)
         specs = ([ShardSpec(obj=_broken_obj(), kind="reference")]
-                 + [ShardSpec(program="gcd", kind="reference")
-                    for _ in range(6)])
-        runner = ShardedRunner(jobs=2)
+                 + [ShardSpec(obj=spin, kind="reference")
+                    for _ in range(2 * jobs + 3)])
+        runner = ShardedRunner(jobs=jobs)
         with pytest.raises(ShardError) as info:
             runner.run(specs)
         assert info.value.spec.kind == "reference"
