@@ -18,8 +18,9 @@ Typical use::
     result = translate(obj, level=2)
     run = PrototypingPlatform(result.program).run()
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-versus-measured results.
+See ``docs/backends.md`` for the execution pipeline, ``docs/ir.md``
+for the Region IR and the C6x op table, and ``docs/workloads.md`` for
+the paper workloads and the fuzzer.
 """
 
 from repro.arch.model import (

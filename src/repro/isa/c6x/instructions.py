@@ -18,14 +18,21 @@ Operand conventions (mirroring the IR):
   ``pred_sense=False`` inverts).
 
 Documented relaxations versus the real C6201 are listed in
-:mod:`repro.isa.c6x.units` and in DESIGN.md (16-bit immediates, full
-comparison set, 15-bit load/store offsets, 32x32 multiply).
+:mod:`repro.isa.c6x.units` and in ``docs/ir.md`` ("The C6x op
+table": 16-bit immediates, full comparison set, 15-bit load/store
+offsets, 32x32 multiply).
+
+What every op computes is declared once, below: :data:`VALUE_OPS`
+(register results), :data:`LOADS` and :data:`STORES` (memory widths and
+sign extension) and :func:`delay_slots`.  The interpretive core and
+both code emitters render from these tables.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from repro.arch.model import TargetArch
 from repro.isa.c6x.registers import reg_name
@@ -69,8 +76,95 @@ class TOp(enum.Enum):
     HALT = "halt"
 
 
-LOAD_TOPS = frozenset({TOp.LDW, TOp.LDH, TOp.LDHU, TOp.LDB, TOp.LDBU})
-STORE_TOPS = frozenset({TOp.STW, TOp.STH, TOp.STB})
+class ValueOp(NamedTuple):
+    """How one register-producing op renders: a Python and a C
+    expression template (``None``: the C emitter declines the op)."""
+
+    py: str
+    c: str | None
+
+
+#: Result of every register-producing non-memory op, as expression
+#: templates over named operands.  Registers are unsigned 32-bit
+#: values; the Python column masks its result to 32 bits and the C
+#: column computes in ``uint32_t``.  The operands:
+#:
+#: * ``{a}`` — ``src1`` (0 when absent);
+#: * ``{b}`` — raw ``src2``, or the immediate as written (may be
+#:   negative); ``{bu}`` — the same, unsigned; ``{bs}`` — signed;
+#: * ``{sh}`` — the shift count, ``b & 31``;
+#: * ``{imm}`` — the unsigned immediate, ``{high}`` — the immediate
+#:   shifted into the upper halfword, ``{d}`` — the old ``dst`` value
+#:   (the ``MVK`` family).
+VALUE_OPS: dict[TOp, ValueOp] = {
+    TOp.MVK: ValueOp("{imm}", "{imm}"),
+    TOp.MVKL: ValueOp("{imm}", "{imm}"),
+    TOp.MVKH: ValueOp("{high} | ({d} & 0xFFFF)",
+                      "{high} | ({d} & 0xFFFFu)"),
+    TOp.MV: ValueOp("{a}", "{a}"),
+    TOp.ABS: ValueOp(
+        "((0x100000000 - {a}) & 0xFFFFFFFF) if {a} & 0x80000000 else {a}",
+        "(({a} & 0x80000000u) ? (0u - {a}) : {a})"),
+    TOp.ADD: ValueOp("({a} + {b}) & 0xFFFFFFFF", "{a} + {bu}"),
+    TOp.SUB: ValueOp("({a} - {b}) & 0xFFFFFFFF", "{a} - {bu}"),
+    TOp.MPY: ValueOp(
+        "(s32({a}) * {bs}) & 0xFFFFFFFF",
+        "(uint32_t)((int64_t)((int32_t){a}) * (int64_t)({bs}))"),
+    TOp.AND: ValueOp("{a} & {bu}", "{a} & {bu}"),
+    TOp.OR: ValueOp("{a} | {bu}", "{a} | {bu}"),
+    TOp.XOR: ValueOp("{a} ^ {bu}", "{a} ^ {bu}"),
+    TOp.ANDN: ValueOp("({a} & ~{bu}) & 0xFFFFFFFF", "{a} & ~{bu}"),
+    TOp.SHL: ValueOp("({a} << {sh}) & 0xFFFFFFFF", "{a} << {sh}"),
+    TOp.SHRU: ValueOp("{a} >> {sh}", "{a} >> {sh}"),
+    TOp.SHRA: ValueOp("(s32({a}) >> {sh}) & 0xFFFFFFFF",
+                      "(uint32_t)(((int32_t){a}) >> {sh})"),
+    TOp.MIN: ValueOp(
+        "min(s32({a}), {bs}) & 0xFFFFFFFF",
+        "(uint32_t)((((int32_t){a}) < ({bs})) ? ((int32_t){a}) : ({bs}))"),
+    TOp.MAX: ValueOp(
+        "max(s32({a}), {bs}) & 0xFFFFFFFF",
+        "(uint32_t)((((int32_t){a}) > ({bs})) ? ((int32_t){a}) : ({bs}))"),
+    TOp.CMPEQ: ValueOp("1 if {a} == {bu} else 0", "({a} == {bu}) ? 1u : 0u"),
+    TOp.CMPNE: ValueOp("1 if {a} != {bu} else 0", "({a} != {bu}) ? 1u : 0u"),
+    TOp.CMPLT: ValueOp("1 if s32({a}) < {bs} else 0",
+                       "(((int32_t){a}) < ({bs})) ? 1u : 0u"),
+    TOp.CMPLTU: ValueOp("1 if {a} < {bu} else 0", "({a} < {bu}) ? 1u : 0u"),
+    TOp.CMPGE: ValueOp("1 if s32({a}) >= {bs} else 0",
+                       "(((int32_t){a}) >= ({bs})) ? 1u : 0u"),
+    TOp.CMPGEU: ValueOp("1 if {a} >= {bu} else 0",
+                        "({a} >= {bu}) ? 1u : 0u"),
+}
+
+
+class Load(NamedTuple):
+    """Access width in bytes, and the width of the value that is
+    sign-extended to 32 bits (0: zero-extended)."""
+
+    size: int
+    sign_bits: int = 0
+
+    def sign_fix(self) -> tuple[int, int] | None:
+        """``(sign bit, fill)``: when the loaded value has the sign bit
+        set, OR in the fill; ``None`` for a zero-extending load."""
+        bits = self.sign_bits
+        if not bits:
+            return None
+        return 1 << (bits - 1), 0xFFFFFFFF ^ ((1 << bits) - 1)
+
+
+#: Every load: its width and sign extension.
+LOADS: dict[TOp, Load] = {
+    TOp.LDW: Load(4),
+    TOp.LDH: Load(2, 16),
+    TOp.LDHU: Load(2),
+    TOp.LDB: Load(1, 8),
+    TOp.LDBU: Load(1),
+}
+#: Every store: its width in bytes (the low bytes of ``src1``).
+STORES: dict[TOp, int] = {TOp.STW: 4, TOp.STH: 2, TOp.STB: 1}
+
+LOAD_TOPS = frozenset(LOADS)
+STORE_TOPS = frozenset(STORES)
 MEMORY_TOPS = LOAD_TOPS | STORE_TOPS
 
 #: unit kinds each operation may execute on.
@@ -113,7 +207,12 @@ UNIT_KINDS: dict[TOp, tuple[str, ...]] = {
 
 
 def delay_slots(op: TOp, target: TargetArch) -> int:
-    """Architectural delay slots of *op*."""
+    """Architectural delay slots of *op*.
+
+    *target* is a :class:`TargetArch` or anything else that carries its
+    three ``*_delay_slots`` fields (the code generator's lowering
+    parameters do).
+    """
     if op is TOp.B:
         return target.branch_delay_slots
     if op in LOAD_TOPS:

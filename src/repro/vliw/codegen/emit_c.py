@@ -73,7 +73,7 @@ offsets in ``int64_t`` to keep window comparisons exact.
 
 from __future__ import annotations
 
-from repro.isa.c6x.instructions import TOp
+from repro.isa.c6x.instructions import LOADS, VALUE_OPS, TOp
 from repro.utils.bits import s32, u32
 from repro.vliw.codegen.ir import (
     AluOp,
@@ -92,7 +92,7 @@ from repro.vliw.codegen.ir import (
     RegWrite,
 )
 from repro.vliw.codegen.trace import ModulePlan, SuperblockPlan, form_traces
-from repro.vliw.core import _LOAD_SIZE, BRIDGE_WINDOW as _BRIDGE_WINDOW
+from repro.vliw.core import BRIDGE_WINDOW as _BRIDGE_WINDOW
 from repro.vliw.syncdev import (
     REG_CMD,
     REG_CORR_CMD,
@@ -852,7 +852,7 @@ class _CRenderer:
         add = self.add
         ir = self.ir
         m = node.var
-        size = _LOAD_SIZE[node.op]
+        size = LOADS[node.op].size
         addr = _addr(f"regs[{node.src1}]", node.imm)
         add("{")
         self.indent += 1
@@ -946,7 +946,7 @@ class _CRenderer:
         add = self.add
         ir = self.ir
         m = node.var
-        size = _LOAD_SIZE[node.op]
+        size = LOADS[node.op].size
         addr = _addr(f"regs[{node.src1}]", node.imm)
         add("{")
         self.indent += 1
@@ -965,79 +965,29 @@ class _CRenderer:
         add("}")
 
     def _render_sign_fix(self, op: TOp, m: int) -> None:
-        if op is TOp.LDH:
-            self.add(f"if (v{m} & 0x8000u) v{m} |= 0xFFFF0000u;")
-        elif op is TOp.LDB:
-            self.add(f"if (v{m} & 0x80u) v{m} |= 0xFFFFFF00u;")
+        fix = LOADS[op].sign_fix()
+        if fix is not None:
+            bit, fill = fix
+            self.add(f"if (v{m} & {bit:#x}u) v{m} |= 0x{fill:X}u;")
 
     # -- value expressions -----------------------------------------------
 
     def _value_expr(self, node: AluOp) -> str:
-        """C expression for the phase-1 result of *node*.
-
-        Semantics mirror :meth:`PythonEmitter._value_expr` op for op;
-        ``uint32_t`` arithmetic supplies the ``& 0xFFFFFFFF`` masks.
-        """
-        op = node.op
-        if op in (TOp.MVK, TOp.MVKL):
-            return f"{u32(node.imm if node.imm is not None else 0)}u"
-        if op is TOp.MVKH:
-            high = u32((node.imm or 0) << 16) & 0xFFFF0000
-            return f"{high}u | (regs[{node.dst}] & 0xFFFFu)"
-        a = f"regs[{node.src1}]" if node.src1 is not None else "0u"
-        if op is TOp.MV:
-            return a
-        if op is TOp.ABS:
-            return f"(({a} & 0x80000000u) ? (0u - {a}) : {a})"
+        """C expression for the phase-1 result of *node*: the C column
+        of its :data:`VALUE_OPS` row, immediates constant-folded."""
+        row = VALUE_OPS.get(node.op)
+        if row is None or row.c is None:
+            raise UnsupportedRegion(f"op {node.op}")
+        imm = node.imm or 0
         if node.src2 is not None:
             b_u = f"regs[{node.src2}]"
-            b_s = f"(int32_t)regs[{node.src2}]"
-            b_sh = f"(regs[{node.src2}] & 31u)"
+            b_s, b_sh = f"(int32_t){b_u}", f"({b_u} & 31u)"
         else:
-            imm = node.imm or 0
-            b_u = f"{u32(imm)}u"
-            b_s = str(s32(u32(imm)))
-            b_sh = str(imm & 31)
-        a_s = f"(int32_t){a}"
-        if op is TOp.ADD:
-            return f"{a} + {b_u}"
-        if op is TOp.SUB:
-            return f"{a} - {b_u}"
-        if op is TOp.MPY:
-            return f"(uint32_t)((int64_t)({a_s}) * (int64_t)({b_s}))"
-        if op is TOp.AND:
-            return f"{a} & {b_u}"
-        if op is TOp.OR:
-            return f"{a} | {b_u}"
-        if op is TOp.XOR:
-            return f"{a} ^ {b_u}"
-        if op is TOp.ANDN:
-            return f"{a} & ~{b_u}"
-        if op is TOp.SHL:
-            return f"{a} << {b_sh}"
-        if op is TOp.SHRU:
-            return f"{a} >> {b_sh}"
-        if op is TOp.SHRA:
-            return f"(uint32_t)(({a_s}) >> {b_sh})"
-        if op is TOp.MIN:
-            return (f"(uint32_t)((({a_s}) < ({b_s})) "
-                    f"? ({a_s}) : ({b_s}))")
-        if op is TOp.MAX:
-            return (f"(uint32_t)((({a_s}) > ({b_s})) "
-                    f"? ({a_s}) : ({b_s}))")
-        if op is TOp.CMPEQ:
-            return f"({a} == {b_u}) ? 1u : 0u"
-        if op is TOp.CMPNE:
-            return f"({a} != {b_u}) ? 1u : 0u"
-        if op is TOp.CMPLT:
-            return f"(({a_s}) < ({b_s})) ? 1u : 0u"
-        if op is TOp.CMPLTU:
-            return f"({a} < {b_u}) ? 1u : 0u"
-        if op is TOp.CMPGE:
-            return f"(({a_s}) >= ({b_s})) ? 1u : 0u"
-        if op is TOp.CMPGEU:
-            return f"({a} >= {b_u}) ? 1u : 0u"
-        raise UnsupportedRegion(f"op {op}")
+            b_u, b_s, b_sh = f"{u32(imm)}u", str(s32(u32(imm))), str(imm & 31)
+        return row.c.format(
+            a=f"regs[{node.src1}]" if node.src1 is not None else "0u",
+            bu=b_u, bs=b_s, sh=b_sh, imm=f"{u32(imm)}u",
+            high=f"{u32(imm << 16) & 0xFFFF0000}u", d=f"regs[{node.dst}]")
 
     # -- region end ------------------------------------------------------
 

@@ -16,7 +16,7 @@ names :meth:`PacketCompiler._namespace` provides (``_regs``, ``_mem``,
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.isa.c6x.instructions import TOp
+from repro.isa.c6x.instructions import LOADS, VALUE_OPS, TOp
 from repro.utils.bits import s32, u32
 from repro.vliw.codegen.ir import (
     AluOp,
@@ -35,7 +35,7 @@ from repro.vliw.codegen.ir import (
     RegWrite,
 )
 from repro.vliw.codegen.lower import _SHARED_HI, _SHARED_LO
-from repro.vliw.core import _LOAD_SIZE, BRIDGE_WINDOW as _BRIDGE_WINDOW
+from repro.vliw.core import BRIDGE_WINDOW as _BRIDGE_WINDOW
 from repro.vliw.syncdev import SYNC_WINDOW
 
 
@@ -375,7 +375,7 @@ class _RegionRenderer:
         add = self.out.add
         ir = self.ir
         m = node.var
-        size = _LOAD_SIZE[node.op]
+        size = LOADS[node.op].size
         addr = _addr(f"regs[{node.src1}]", node.imm)
         add(indent, f"o{m} = ({addr}) - {ir.mem_base}")
         add(indent, f"if o{m} < 0 or o{m} > {ir.mem_len - size}:")
@@ -394,7 +394,7 @@ class _RegionRenderer:
         add = self.out.add
         ir = self.ir
         m = node.var
-        size = _LOAD_SIZE[node.op]
+        size = LOADS[node.op].size
         addr = _addr(f"regs[{node.src1}]", node.imm)
         var = f"v{m}"
         add(indent, f"a{m} = {addr}")
@@ -425,10 +425,10 @@ class _RegionRenderer:
         self._render_sign_fix(indent, node.op, var)
 
     def _render_sign_fix(self, indent: int, op: TOp, var: str) -> None:
-        if op is TOp.LDH:
-            self.out.add(indent, f"if {var} & 0x8000: {var} |= 0xFFFF0000")
-        elif op is TOp.LDB:
-            self.out.add(indent, f"if {var} & 0x80: {var} |= 0xFFFFFF00")
+        fix = LOADS[op].sign_fix()
+        if fix is not None:
+            bit, fill = fix
+            self.out.add(indent, f"if {var} & {bit:#x}: {var} |= 0x{fill:X}")
 
     def _render_device_store(self, indent: int, node: DeviceStore) -> None:
         """The interpreter's three-way store dispatch, inline."""
@@ -470,68 +470,22 @@ class _RegionRenderer:
     # -- value expressions -----------------------------------------------
 
     def _value_expr(self, node: AluOp) -> str:
-        """Python expression for the phase-1 result of *node*."""
-        op = node.op
-        M = "0xFFFFFFFF"
-        if op in (TOp.MVK, TOp.MVKL):
-            return str(u32(node.imm if node.imm is not None else 0))
-        if op is TOp.MVKH:
-            high = u32((node.imm or 0) << 16) & 0xFFFF0000
-            return f"{high} | (regs[{node.dst}] & 0xFFFF)"
-        a = f"regs[{node.src1}]" if node.src1 is not None else "0"
-        if op is TOp.MV:
-            return a
-        if op is TOp.ABS:
-            return (f"((0x100000000 - {a}) & {M}) "
-                    f"if {a} & 0x80000000 else {a}")
+        """Python expression for the phase-1 result of *node*: its
+        :data:`VALUE_OPS` template, immediates constant-folded."""
+        row = VALUE_OPS.get(node.op)
+        if row is None:  # pragma: no cover - lowering emits value ops only
+            raise SimulationError(f"unhandled target op {node.op}")
+        imm = node.imm or 0
         if node.src2 is not None:
             b = f"regs[{node.src2}]"
-            b_u = b
-            b_s = f"s32({b})"
-            b_sh = f"({b} & 31)"
+            b_u, b_s, b_sh = b, f"s32({b})", f"({b} & 31)"
         else:
-            imm = node.imm or 0
-            b = str(imm)
-            b_u = str(u32(imm))
-            b_s = str(s32(u32(imm)))
-            b_sh = str(imm & 31)
-        if op is TOp.ADD:
-            return f"({a} + {b}) & {M}"
-        if op is TOp.SUB:
-            return f"({a} - {b}) & {M}"
-        if op is TOp.MPY:
-            return f"(s32({a}) * {b_s}) & {M}"
-        if op is TOp.AND:
-            return f"{a} & {b_u}"
-        if op is TOp.OR:
-            return f"{a} | {b_u}"
-        if op is TOp.XOR:
-            return f"{a} ^ {b_u}"
-        if op is TOp.ANDN:
-            return f"({a} & ~{b_u}) & {M}"
-        if op is TOp.SHL:
-            return f"({a} << {b_sh}) & {M}"
-        if op is TOp.SHRU:
-            return f"{a} >> {b_sh}"
-        if op is TOp.SHRA:
-            return f"(s32({a}) >> {b_sh}) & {M}"
-        if op is TOp.MIN:
-            return f"min(s32({a}), {b_s}) & {M}"
-        if op is TOp.MAX:
-            return f"max(s32({a}), {b_s}) & {M}"
-        if op is TOp.CMPEQ:
-            return f"1 if {a} == {b_u} else 0"
-        if op is TOp.CMPNE:
-            return f"1 if {a} != {b_u} else 0"
-        if op is TOp.CMPLT:
-            return f"1 if s32({a}) < {b_s} else 0"
-        if op is TOp.CMPLTU:
-            return f"1 if {a} < {b_u} else 0"
-        if op is TOp.CMPGE:
-            return f"1 if s32({a}) >= {b_s} else 0"
-        if op is TOp.CMPGEU:
-            return f"1 if {a} >= {b_u} else 0"
-        raise SimulationError(f"unhandled target op {op}")  # pragma: no cover
+            b, b_u, b_s, b_sh = (str(imm), str(u32(imm)), str(s32(u32(imm))),
+                                 str(imm & 31))
+        return row.py.format(
+            a=f"regs[{node.src1}]" if node.src1 is not None else "0",
+            b=b, bu=b_u, bs=b_s, sh=b_sh, imm=u32(imm),
+            high=u32(imm << 16) & 0xFFFF0000, d=f"regs[{node.dst}]")
 
     # -- region end ------------------------------------------------------
 

@@ -34,7 +34,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.isa.c6x.instructions import TOp
+from repro.isa.c6x.instructions import (
+    LOADS,
+    STORES,
+    VALUE_OPS,
+    TOp,
+    delay_slots,
+)
 from repro.soc.bus import SharedIoMap
 from repro.vliw.codegen.ir import (
     AluOp,
@@ -60,10 +66,6 @@ from repro.vliw.codegen.ir import (
     StallCheck,
     StoreCheck,
 )
-from repro.vliw.core import _LOAD_SIZE, _STORE_SIZE
-
-_STORE_OPS = frozenset(_STORE_SIZE)
-_LOAD_OPS = frozenset(_LOAD_SIZE)
 
 #: bridge-window offsets of the multi-core shared-device segment (the
 #: layout is fixed — see :class:`~repro.soc.bus.SharedIoMap`)
@@ -126,7 +128,7 @@ def packet_device_flags(program, pc0: int, n_packets: int) -> tuple:
 
 def _is_value_op(op: TOp) -> bool:
     """True if *op* produces a register result."""
-    return op not in (TOp.B, TOp.HALT, TOp.NOP) and op not in _STORE_OPS
+    return op in VALUE_OPS or op in LOADS
 
 
 def lower_region(program, params: LoweringParams, pc0: int, n_packets: int,
@@ -165,13 +167,6 @@ class RegionLowerer:
 
     # -- helpers ---------------------------------------------------------
 
-    def _delay(self, op: TOp) -> int:
-        if op in _LOAD_OPS:
-            return self.params.load_delay_slots
-        if op is TOp.MPY:
-            return self.params.mul_delay_slots
-        return 0
-
     def _id(self, instr) -> int:
         return self._instr_ids[id(instr)]
 
@@ -184,8 +179,8 @@ class RegionLowerer:
         """
         for n in range(pos - 1, -1, -1):
             prev = instrs[n]
-            if (prev.op is not TOp.NOP and _is_value_op(prev.op)
-                    and prev.dst == reg and self._delay(prev.op) == 0):
+            if (_is_value_op(prev.op) and prev.dst == reg
+                    and delay_slots(prev.op, self.params) == 0):
                 m = self._id(prev)
                 if prev.pred is not None:
                     return ("cvar", m, m, reg)
@@ -319,7 +314,7 @@ class RegionLowerer:
             stall_checks = tuple(
                 StallCheck(m=self._id(i), src1=i.src1, imm=i.imm or 0,
                            pred_reg=i.pred, pred_sense=i.pred_sense)
-                for i in instrs if i.op in _LOAD_OPS)
+                for i in instrs if i.op in LOADS)
 
         # 3. phase A1: predicates (pre-packet register state)
         preds = tuple(PredDef(var=self._id(i), reg=i.pred,
@@ -333,7 +328,7 @@ class RegionLowerer:
                 continue
             m = self._id(instr)
             pred = m if instr.pred is not None else None
-            if instr.op in _LOAD_OPS:
+            if instr.op in LOADS:
                 if device:
                     values.append(DeviceLoad(var=m, op=instr.op,
                                              src1=instr.src1,
@@ -353,12 +348,12 @@ class RegionLowerer:
         store_checks: list[StoreCheck] = []
         if not device:
             for pos, instr in enumerate(instrs):
-                if instr.op not in _STORE_OPS:
+                if instr.op not in STORES:
                     continue
                 m = self._id(instr)
                 store_checks.append(StoreCheck(
                     m=m, base=self._fwd(instr.src2, instrs, pos),
-                    imm=instr.imm or 0, size=_STORE_SIZE[instr.op],
+                    imm=instr.imm or 0, size=STORES[instr.op],
                     pred=m if instr.pred is not None else None,
                     bail=self._bail(k)))
 
@@ -414,9 +409,9 @@ class RegionLowerer:
                     pred=pred))
                 self.branch_index_var = m
                 continue
-            if op in _STORE_OPS:
+            if op in STORES:
                 has_store = True
-                size = _STORE_SIZE[op]
+                size = STORES[op]
                 val = self._fwd(instr.src1, instrs, pos)
                 if device:
                     applies.append(DeviceStore(
@@ -427,7 +422,7 @@ class RegionLowerer:
                                               pred=pred))
                 continue
             # register write
-            delay = self._delay(op)
+            delay = delay_slots(op, self.params)
             if delay == 0:
                 applies.append(RegWrite(dst=instr.dst, var=m, pred=pred))
             else:
@@ -474,9 +469,9 @@ class RegionLowerer:
         """
         checks: list[GuardCheck] = []
         for pos, instr in enumerate(instrs):
-            if instr.op in _LOAD_OPS:
+            if instr.op in LOADS:
                 base = ("reg", instr.src1)
-            elif instr.op in _STORE_OPS:
+            elif instr.op in STORES:
                 base = self._fwd(instr.src2, instrs, pos)
                 if base[0] != "reg":
                     return SharedGuard(checks=(), bail=self._bail(k))

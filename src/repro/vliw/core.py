@@ -19,20 +19,56 @@ from dataclasses import dataclass, field
 
 from repro.arch.model import TargetArch
 from repro.errors import BusError, HazardError, SimulationError
-from repro.isa.c6x.instructions import TargetInstr, TOp
+from repro.isa.c6x.instructions import (
+    LOADS,
+    STORES,
+    VALUE_OPS,
+    TargetInstr,
+    TOp,
+    delay_slots,
+)
 from repro.isa.c6x.packets import C6xProgram
 from repro.isa.c6x.registers import reg_count, reg_name
 from repro.utils.bits import s32, u32
 from repro.vliw.bridge import BusBridge
 from repro.vliw.syncdev import SYNC_WINDOW, SyncDevice
 
-_LOAD_SIZE = {TOp.LDW: 4, TOp.LDH: 2, TOp.LDHU: 2, TOp.LDB: 1, TOp.LDBU: 1}
-_STORE_SIZE = {TOp.STW: 4, TOp.STH: 2, TOp.STB: 1}
-_SIGNED_LOADS = {TOp.LDH: 16, TOp.LDB: 8}
-
 #: width of the bus-bridge window; the single source of truth for the
 #: interpreter's dispatch and every code-generating backend
 BRIDGE_WINDOW = 0x1_0000
+
+#: interpreter bindings of the :data:`VALUE_OPS` operands: ``a``, ``b``
+#: (raw ``src2`` or immediate), ``i`` (immediate) and ``d`` (old dst)
+_BINDINGS = dict(a="a", b="b", bu="(b & 0xFFFFFFFF)", bs="s32(b)",
+                 sh="(b & 31)", imm="(i & 0xFFFFFFFF)",
+                 high="((i << 16) & 0xFFFF0000)", d="d")
+
+
+def _compile_evaluator(template: str):
+    """Compile one op's Python template to ``evaluate(read, instr)``.
+
+    Registers are read through *read* (the core's hazard-checked
+    ``_read``), and only the ones the template names, in the order
+    ``src1``, ``src2``, ``dst``.
+    """
+    names = {name for name in _BINDINGS if f"{{{name}}}" in template}
+    lines = ["def evaluate(read, ins):"]
+    if "a" in names:
+        lines.append("    a = read(ins.src1) if ins.src1 is not None else 0")
+    if names & {"b", "bu", "bs", "sh"}:
+        lines.append("    b = (read(ins.src2) if ins.src2 is not None"
+                     " else (ins.imm or 0))")
+    if names & {"imm", "high"}:
+        lines.append("    i = ins.imm or 0")
+    if "d" in names:
+        lines.append("    d = read(ins.dst)")
+    lines.append(f"    return {template.format(**_BINDINGS)}")
+    namespace = {"s32": s32}
+    exec("\n".join(lines), namespace)
+    return namespace["evaluate"]
+
+
+_EVALUATE = {op: _compile_evaluator(row.py) for op, row in VALUE_OPS.items()}
 
 
 @dataclass
@@ -150,11 +186,12 @@ class C6xCore:
         self._mem[off:off + size] = u32(value).to_bytes(4, "little")[:size]
 
     def read_mem(self, addr: int, size: int) -> int:
-        off = addr - self._mem_base
-        return int.from_bytes(self._mem[off:off + size], "little")
+        return int.from_bytes(self.data_window(addr, size), "little")
 
     def data_window(self, addr: int, size: int) -> bytes:
         off = addr - self._mem_base
+        if off < 0 or off + size > len(self._mem):
+            raise BusError("target read outside memory", addr)
         return bytes(self._mem[off:off + size])
 
     # -- helpers ------------------------------------------------------------
@@ -246,7 +283,7 @@ class C6xCore:
 
     def _packet_blocks(self, packet) -> bool:
         for instr in packet.instrs:
-            if instr.op in _LOAD_SIZE and self._pred_true(instr):
+            if instr.op in LOADS and self._pred_true(instr):
                 addr = u32(self._read(instr.src1) + (instr.imm or 0))
                 off = self._sync_offset(addr)
                 if off is not None and self.sync.read_blocks(off):
@@ -270,63 +307,19 @@ class C6xCore:
             self._apply(instr, value)
 
     def _evaluate(self, instr: TargetInstr) -> int | None:
+        evaluate = _EVALUATE.get(instr.op)
+        if evaluate is not None:
+            return evaluate(self._read, instr)
         op = instr.op
-        if op in (TOp.B, TOp.HALT) or op in _STORE_SIZE:
-            return None
-        if op is TOp.MVK or op is TOp.MVKL:
-            return u32(instr.imm if instr.imm is not None else 0)
-        if op is TOp.MVKH:
-            low = self._read(instr.dst) & 0xFFFF
-            return u32(((instr.imm or 0) << 16) | low)
-        if op in _LOAD_SIZE:
+        if op in LOADS:
             return self._do_load(instr)
-        a = self._read(instr.src1) if instr.src1 is not None else 0
-        if op is TOp.MV:
-            return a
-        if op is TOp.ABS:
-            return u32(abs(s32(a)))
-        b = (self._read(instr.src2) if instr.src2 is not None
-             else (instr.imm or 0))
-        if op is TOp.ADD:
-            return u32(a + b)
-        if op is TOp.SUB:
-            return u32(a - b)
-        if op is TOp.MPY:
-            return u32(s32(a) * s32(b))
-        if op is TOp.AND:
-            return u32(a & u32(b))
-        if op is TOp.OR:
-            return u32(a | u32(b))
-        if op is TOp.XOR:
-            return u32(a ^ u32(b))
-        if op is TOp.ANDN:
-            return u32(a & ~u32(b))
-        if op is TOp.SHL:
-            return u32(a << (b & 31))
-        if op is TOp.SHRU:
-            return u32(u32(a) >> (b & 31))
-        if op is TOp.SHRA:
-            return u32(s32(a) >> (b & 31))
-        if op is TOp.MIN:
-            return u32(min(s32(a), s32(b)))
-        if op is TOp.MAX:
-            return u32(max(s32(a), s32(b)))
-        if op is TOp.CMPEQ:
-            return 1 if u32(a) == u32(b) else 0
-        if op is TOp.CMPNE:
-            return 1 if u32(a) != u32(b) else 0
-        if op is TOp.CMPLT:
-            return 1 if s32(a) < s32(b) else 0
-        if op is TOp.CMPLTU:
-            return 1 if u32(a) < u32(b) else 0
-        if op is TOp.CMPGE:
-            return 1 if s32(a) >= s32(b) else 0
-        if op is TOp.CMPGEU:
-            return 1 if u32(a) >= u32(b) else 0
+        if op in (TOp.B, TOp.HALT) or op in STORES:
+            return None
         raise SimulationError(f"unhandled target op {op}")
 
     def _do_load(self, instr: TargetInstr) -> int:
-        size = _LOAD_SIZE[instr.op]
+        load = LOADS[instr.op]
+        size = load.size
         addr = u32(self._read(instr.src1) + (instr.imm or 0))
         off = self._sync_offset(addr)
         if off is not None:
@@ -344,9 +337,9 @@ class C6xCore:
                 if moff < 0 or moff + size > len(self._mem):
                     raise BusError("target load outside memory", addr)
                 value = int.from_bytes(self._mem[moff:moff + size], "little")
-        bits = _SIGNED_LOADS.get(instr.op)
-        if bits is not None and value & (1 << (bits - 1)):
-            value -= 1 << bits
+        fix = load.sign_fix()
+        if fix is not None and value & fix[0]:
+            value |= fix[1]
         return u32(value)
 
     def _apply(self, instr: TargetInstr, value: int | None) -> None:
@@ -374,19 +367,14 @@ class C6xCore:
             self._pending_branch = (
                 self._issue_index + 1 + self.target.branch_delay_slots, index)
             return
-        if op in _STORE_SIZE:
+        if op in STORES:
             self._do_store(instr)
             return
         assert value is not None
-        delay = 0
-        if op in _LOAD_SIZE:
-            delay = self.target.load_delay_slots
-        elif op is TOp.MPY:
-            delay = self.target.mul_delay_slots
-        self._schedule_write(instr.dst, value, delay)
+        self._schedule_write(instr.dst, value, delay_slots(op, self.target))
 
     def _do_store(self, instr: TargetInstr) -> None:
-        size = _STORE_SIZE[instr.op]
+        size = STORES[instr.op]
         addr = u32(self._read(instr.src2) + (instr.imm or 0))
         value = self._read(instr.src1)
         off = self._sync_offset(addr)

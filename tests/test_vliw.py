@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch.model import default_target_arch
-from repro.errors import HazardError, SimulationError
+from repro.errors import BusError, HazardError, SimulationError
 from repro.isa.c6x.instructions import TargetInstr, TOp
 from repro.isa.c6x.packets import C6xProgram, ExecutePacket
 from repro.isa.c6x.units import Unit
@@ -191,6 +191,39 @@ class TestDelaySlots:
         core, _, _ = _core(packets)
         with pytest.raises(SimulationError):
             _run(core)
+
+
+class TestMemoryAccess:
+    """The host-side accessors bound-check like the core's own loads."""
+
+    def _core(self):
+        core, _, _ = _core([[TargetInstr(TOp.HALT)]])
+        core.write_mem(TARGET.data_base, 0x1234_5678, 4)
+        return core
+
+    def test_reads_inside_memory(self):
+        core = self._core()
+        assert core.read_mem(TARGET.data_base, 4) == 0x1234_5678
+        assert core.data_window(TARGET.data_base, 2) == b"\x78\x56"
+        end = TARGET.internal_base + TARGET.internal_size
+        assert core.data_window(end - 4, 4) == bytes(4)
+
+    @pytest.mark.parametrize("addr", [
+        TARGET.data_base - 4,  # negative offset: would wrap to the end
+        TARGET.internal_base + TARGET.internal_size - 2,  # runs past end
+        TARGET.internal_base + TARGET.internal_size,
+    ])
+    def test_read_mem_outside_memory(self, addr):
+        with pytest.raises(BusError):
+            self._core().read_mem(addr, 4)
+
+    @pytest.mark.parametrize("addr", [
+        TARGET.data_base - 4,
+        TARGET.internal_base + TARGET.internal_size - 2,
+    ])
+    def test_data_window_outside_memory(self, addr):
+        with pytest.raises(BusError):
+            self._core().data_window(addr, 4)
 
 
 class TestSyncDevice:
