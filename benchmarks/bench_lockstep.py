@@ -1,10 +1,13 @@
 """Adaptive lockstep quantum: before/after on communicating workloads.
 
 The quantum=1 lockstep baseline pays one arbitration round per target
-cycle and (pre-inline) bailed every shared-segment access back to the
-interpreter.  The adaptive barrier grants run-ahead windows while every
-core is provably inside private code, and the inline shared-access
-emitter keeps compiled/native regions resident across mailbox traffic.
+cycle.  The adaptive barrier grants run-ahead windows while every core
+is provably inside private code.  Both modes share one shared-access
+rendering: compiled/native regions perform shared accesses inline and
+stay resident across mailbox traffic, so the quantum=1 column now runs
+inline too.  The committed ``BENCH_lockstep.json`` predates that and
+records a quantum=1 column that bailed every shared-segment access to
+the interpreter.
 This benchmark runs every communicating shared workload under both
 modes, asserts the lockstep differential contract — exits, the
 cycle-stamped shared-segment trace, contention conflicts and per-core

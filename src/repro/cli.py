@@ -122,8 +122,8 @@ def translate_main(argv: list[str] | None = None) -> int:
                         help="for --run --cores N: intra-SoC lockstep "
                              "scheduling mode — 'adaptive' (default: "
                              "run-ahead windows between shared "
-                             "accesses) or a fixed integer quantum; "
-                             "observables are identical either way")
+                             "accesses) or a fixed integer quantum; only "
+                             "'adaptive' and 1 give identical observables")
     parser.add_argument("--jobs", type=int, default=1,
                         help="for --run: sweep all four detail levels, "
                              "sharded across N worker processes "

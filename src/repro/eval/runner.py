@@ -101,9 +101,9 @@ def measure_program(name: str, levels=(0, 1, 2, 3),
     legitimately differ.
 
     *quantum* is the intra-SoC lockstep scheduling mode —
-    ``"adaptive"`` (default) or a fixed integer quantum; observables
-    are identical across modes by the lockstep differential contract,
-    so this knob only trades simulation wall-clock.
+    ``"adaptive"`` (default) or a fixed integer quantum; only
+    ``"adaptive"`` and ``1`` give identical observables (a larger
+    integer coarsens arbitration and may change target cycles).
     """
     from repro.vliw.codegen import resolve_backend
 

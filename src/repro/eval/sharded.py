@@ -82,10 +82,10 @@ class ShardSpec:
     #: >1 runs the program replicated on a MultiCoreSoC; the shard's
     #: result is core 0's (bit-identical to the single-core run)
     cores: int = 1
-    #: intra-SoC lockstep scheduling mode for multi-core shards —
-    #: "adaptive" run-ahead windows or a fixed integer quantum
-    #: (identical observables; hashable, so it keys the precompile
-    #: memo, whose emitter mode depends on it)
+    #: intra-SoC lockstep barrier for multi-core shards — "adaptive"
+    #: run-ahead windows or a fixed integer quantum (only "adaptive"
+    #: and 1 are observable-identical; a larger integer coarsens
+    #: arbitration)
     quantum: int | str = "adaptive"
     #: explicit object file instead of a registry program name
     obj: ObjectFile | None = None
@@ -452,11 +452,7 @@ class ShardedRunner:
                 del self._precompiled[stale]
         else:
             self.stats["translation_hits"] += 1
-        # fixed-quantum multi-core shards run the legacy bail-only
-        # emitter, so the parent must warm that cache, not the
-        # inline-shared one (regions_generated == 0 contract)
-        inline = spec.cores == 1 or spec.quantum == "adaptive"
-        pre_key = (key, spec.backend, spec.tier, inline)
+        pre_key = (key, spec.backend, spec.tier)
         if (self.precompile and resolve_backend(spec.backend).compiled
                 and self._precompiled.get(pre_key) is None):
             # fills the program's source + IR caches; the native and
@@ -464,8 +460,7 @@ class ShardedRunner:
             # the on-disk cache, so workers dlopen instead of invoking
             # the C compiler
             precompile_program(tr.program, source_arch=self.source_arch,
-                               backend=spec.backend, tier=spec.tier,
-                               inline_shared=inline)
+                               backend=spec.backend, tier=spec.tier)
             self._precompiled[pre_key] = True
             self.stats["precompiles"] += 1
         return tr

@@ -299,8 +299,8 @@ class Cluster:
     stretches far beyond the latency bound, since there are no sends a
     window could observe.  *core_quantum* is each SoC's **intra-SoC**
     lockstep mode (``"adaptive"`` or a fixed integer — see
-    :class:`~repro.vliw.multicore.MultiCoreSoC`); observables are
-    identical either way.
+    :class:`~repro.vliw.multicore.MultiCoreSoC`); only ``"adaptive"``
+    and ``1`` are observable-identical.
 
     With ``barrier="process"`` each SoC runs in a spawned worker;
     programs using compiled backends are precompiled in the parent
@@ -464,8 +464,7 @@ class Cluster:
                     bridge_stall=payload["bridge_stall"],
                     sync_access_stall=payload["sync_access_stall"],
                     strict=payload["strict"], backend=backend,
-                    tier=payload["tier"],
-                    inline_shared=payload["core_quantum"] == "adaptive")
+                    tier=payload["tier"])
 
     def _exchange(self, base: int, horizon: int) -> None:
         """Window barrier: drain outboxes, route, deliver."""

@@ -69,37 +69,28 @@ def _addr(base: str, imm: int) -> str:
 class PythonEmitter:
     """Renders one :class:`RegionIR` to host-Python source.
 
-    *inline_shared* selects how guarded shared-segment accesses render
-    (multi-core SoCs only — single-core regions carry no guards and are
-    unaffected): ``True`` (the default) emits the access **inline** at
-    region entry — the device dispatch below already routes shared
-    addresses through the core's arbitrated bridge port, so arbitration
-    and stall semantics are the interpreter's, but the region resumes
-    in place instead of bouncing every access to the interpreter.
-    Inline entries still bail while the run-ahead flag ``_ra`` is up
-    (no shared access may execute inside an adaptive window), and
-    accesses past the entry packet keep the address-guard bail.
-    ``False`` reproduces the historical bail-everything source byte for
-    byte — the reference baseline of the lockstep differential
-    contract.
+    Guarded shared-segment accesses (multi-core SoCs only) render
+    **inline** at region entry: the device dispatch below routes them
+    through the core's arbitrated bridge port, with the interpreter's
+    arbitration and stalls, and the region resumes in place.  An inline
+    entry bails while the run-ahead flag ``_ra`` is up (no shared
+    access may run inside an adaptive window); a shared access past the
+    entry packet keeps the address-guard bail and re-enters as a region
+    entry on the next lockstep round.
     """
 
     name = "python"
 
-    def __init__(self, inline_shared: bool = True) -> None:
-        self.inline_shared = inline_shared
-
     def emit(self, ir: RegionIR) -> tuple[str, str]:
         """Produce ``(source, function_name)`` for *ir*."""
-        return _RegionRenderer(ir, self.inline_shared).render()
+        return _RegionRenderer(ir).render()
 
 
 class _RegionRenderer:
     """Stateless walk of one region's IR, emitting Python lines."""
 
-    def __init__(self, ir: RegionIR, inline_shared: bool = True) -> None:
+    def __init__(self, ir: RegionIR) -> None:
         self.ir = ir
-        self.inline_shared = inline_shared
         #: True while rendering a packet whose shared accesses execute
         #: inline (device dispatch then counts them through ``_ilc``)
         self._inline_packet = False
@@ -202,9 +193,9 @@ class _RegionRenderer:
             if not p.guard.checks:
                 self._emit_bail(1, p.guard.bail)
                 return  # the packet unconditionally bails; rest is dead
-            if self.inline_shared and p.offset == 0:
-                # entry packet, inline mode: perform the shared access
-                # inline through the arbitrated device dispatch below;
+            if p.offset == 0:
+                # entry packet: perform the shared access inline
+                # through the arbitrated device dispatch below;
                 # bail only while a run-ahead window is active (no
                 # shared access may execute inside a window)
                 self._inline_packet = True

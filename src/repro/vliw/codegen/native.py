@@ -417,9 +417,10 @@ class NativeContext:
                     return None
                 if source is None:
                     # cold cache (e.g. a worker on a fresh cache dir):
-                    # rebuild from the IR shipped with the program
+                    # rebuild the plan's members from the shipped IR
                     source, plan = CEmitter().emit_module(
-                        cls._module_irs(compiler), landing)
+                        [ir for ir in cls._module_irs(compiler)
+                         if ir.pc0 in plan], landing)
                     if source_digest(source) != digest:
                         return None  # pragma: no cover - caches in sync
                 so_path = build_shared(source, digest)
@@ -644,8 +645,8 @@ class NativeContext:
             if kind == KIND_BAIL:
                 context._count_bail(io.sb_pc)
                 if core._pending_branch is None:
-                    # inline shared-access hand-off: chain into the
-                    # Python rendering of the bailing device packet
+                    # device-packet hand-off: chain into the Python
+                    # rendering of the bailing device packet
                     # (inline arbitration, identical semantics) instead
                     # of the interpreter — the dispatch loop still
                     # applies its quantum/run-ahead checks before

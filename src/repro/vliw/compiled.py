@@ -71,7 +71,7 @@ from types import CodeType
 from typing import Callable
 
 from repro.errors import BusError, SimulationError
-from repro.isa.c6x.instructions import TOp
+from repro.isa.c6x.instructions import LOADS, TOp, TRole
 from repro.vliw.codegen import TierConfig, resolve_backend
 from repro.vliw.codegen.emit_python import PythonEmitter
 from repro.vliw.codegen.lower import (
@@ -118,6 +118,31 @@ def _host_code(source: str, pc0: int) -> CodeType:
     return code
 
 
+def _io_packets(program, pc0: int, n_packets: int) -> list[int]:
+    """Packets past *pc0* in the region that access a static I/O address.
+
+    The translator gives an access it classified as I/O a base from one
+    unpredicated address fix-up (a run-time classified access gets
+    predicated ones); that address always lands in the bridge window,
+    so a native superblock always bails at such a packet.
+    """
+    io_bases: set[int] = set()
+    found = []
+    for k in range(n_packets):
+        instrs = program.packets[pc0 + k].instrs
+        if k and any(i.device and (i.src1 if i.op in LOADS else i.src2)
+                     in io_bases for i in instrs):
+            found.append(pc0 + k)
+        for i in instrs:
+            if i.dst is not None:
+                if (i.op is TOp.ADD and i.role is TRole.ADDR_FIXUP
+                        and i.pred is None):
+                    io_bases.add(i.dst)
+                else:
+                    io_bases.discard(i.dst)
+    return found
+
+
 class PacketCompiler:
     """Compiles and dispatches packet regions of one core's program.
 
@@ -136,8 +161,7 @@ class PacketCompiler:
 
     def __init__(self, core: C6xCore, max_region_packets: int = 256,
                  backend: str = "compiled",
-                 tier: TierConfig | None = None,
-                 inline_shared: bool = True) -> None:
+                 tier: TierConfig | None = None) -> None:
         spec = resolve_backend(backend)
         if not spec.compiled:
             raise SimulationError(
@@ -146,18 +170,13 @@ class PacketCompiler:
         self.program = core.program
         self.target = core.target
         self.backend = backend
-        #: inline shared-segment accesses at region entry (the modern
-        #: fast path); False restores the historical emitter that bails
-        #: every shared access to the interpreter — kept as the
-        #: reference baseline of the lockstep differential contract
-        self.inline_shared = inline_shared
         #: tier-ladder thresholds; also supplies the native demotion
         #: threshold when set explicitly (every compiled backend demotes)
         self.tier = tier if tier is not None else TierConfig.from_env()
         self.tiered = spec.tiered
         self.max_region_packets = max_region_packets
         self.exit_device = core.bridge.bus.device("exit")
-        self.emitter = PythonEmitter(inline_shared=inline_shared)
+        self.emitter = PythonEmitter()
         self.params = params_for_core(core)
         #: run-ahead flag cell (``_ra`` in region namespaces): while a
         #: provably-private window executes, inline shared-access
@@ -205,14 +224,9 @@ class PacketCompiler:
         # keyed by them: platforms with different stall costs never
         # share code.  Code entries are ``(source, name, n_packets)``;
         # ``(None, None, 0)`` marks entries only the interpreter runs
-        # (mirrored by ``None`` in the IR cache).  The historical
-        # bail-all-shared emitter renders different source, so it gets
-        # its own key — the default (inline) key is the one
-        # ``precompile_program`` fills and workers receive.
+        # (mirrored by ``None`` in the IR cache).
         self.cache_params = (core.sync_access_stall,
                              core.bridge.access_stall)
-        if not inline_shared:
-            self.cache_params += ("bail",)
         self._code_cache = self._program_cache("_region_code_cache")
         self._ir_cache = self._program_cache("_region_ir_cache")
         self._native = None
@@ -344,25 +358,23 @@ class PacketCompiler:
     def inline_entry_fn(self, pc0: int):
         """The Python rendering of the device-entry region at *pc0*.
 
-        Used by the native runtime when a superblock bails at its own
-        entry packet without retiring anything (a shared-access entry
-        under inline mode): the Python rendering performs the access
-        inline — arbitration, stalls and all — instead of bouncing the
-        packet to the interpreter on every poll-loop iteration.
-        Returns None (and the caller keeps the interpreter hand-off)
-        when inline mode is off or the entry is not a device packet.
+        Used by the native runtime when a superblock bails at a device
+        packet: the Python rendering performs the access inline —
+        arbitration, stalls and all — instead of bouncing the packet to
+        the interpreter on every poll-loop iteration.  Returns None (and
+        the caller keeps the interpreter hand-off) when *pc0* is not a
+        device packet.
         """
         if pc0 in self._inline_entry_fns:
             return self._inline_entry_fns[pc0]
         fn = None
-        if self.inline_shared:
+        if packet_device_flags(self.program, pc0, 1)[0]:
             cached = self._code_cache.get(pc0)
             if cached is None:
                 cached = self._generate_entry(pc0)
                 self.regions_generated += 1
-            source, name, n_packets = cached
-            if (source is not None and n_packets
-                    and packet_device_flags(self.program, pc0, 1)[0]):
+            source, name, _n_packets = cached
+            if source is not None:
                 ns = self._namespace()
                 exec(_host_code(source, pc0), ns)
                 fn = ns[name]
@@ -627,6 +639,10 @@ class PacketCompiler:
         the number of regions generated.  A parent process calls this
         once per translation so that pickled copies of the program
         carry ready-made region source and IR to worker processes.
+
+        With a native module attached, it also generates the entries
+        :meth:`inline_entry_fn` resumes at — static I/O accesses inside
+        module members — once the module's ``.so`` digest is fixed.
         """
         program = self.program
         n = len(program.packets)
@@ -646,11 +662,18 @@ class PacketCompiler:
                 generated += 1
             if entry[2]:
                 pending.add(pc0 + entry[2])
-        self.regions_generated += generated
         if self.tiered:
             # warm the native module too, so workers and repeated runs
             # skip the C build at the first native promotion
             self._ensure_native()
+        if self._native is not None:
+            for member in self._native.plan:
+                n_packets = self._code_cache[member][2]
+                for pc0 in _io_packets(program, member, n_packets):
+                    if pc0 not in self._code_cache:
+                        self._generate_entry(pc0)
+                        generated += 1
+        self.regions_generated += generated
         return generated
 
     def _namespace(self) -> dict:
@@ -703,10 +726,8 @@ def precompile_program(program, source_arch=None, sync_rate: float = 1.0,
     directory) only ``dlopen`` it.  Returns the number of regions
     generated.
 
-    *inline_shared* must match the emitter mode of the compilers that
-    will consume the cache (the code caches are keyed by it): True for
-    adaptive-quantum SoCs (the default everywhere), False for the
-    historical fixed-quantum bail-all-shared mode.
+    *inline_shared* is ignored (there is one shared-access rendering);
+    it is accepted only because ``perfbench/spans.py`` still passes it.
     """
     from repro.vliw.platform import PrototypingPlatform
 
@@ -714,5 +735,5 @@ def precompile_program(program, source_arch=None, sync_rate: float = 1.0,
         program, source_arch=source_arch, sync_rate=sync_rate,
         bridge_stall=bridge_stall, sync_access_stall=sync_access_stall,
         strict=strict, backend=backend, tier=tier)
-    return PacketCompiler(platform.core, backend=backend, tier=tier,
-                          inline_shared=inline_shared).precompile()
+    return PacketCompiler(platform.core, backend=backend,
+                          tier=tier).precompile()

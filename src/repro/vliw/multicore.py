@@ -39,12 +39,11 @@ Lockstep and arbitration
     region per grant (regions are the backend's atomic unit), so their
     lockstep skew is bounded by the region length cap.  Every
     shared-segment access executes while its core sits exactly at the
-    global minimum cycle: under the default adaptive quantum compiled
-    regions perform the access **inline** through the arbitrated core
-    port at region entry (bailing to the interpreter only for accesses
-    discovered mid-region, which re-enter as region entries on the next
-    round), and under an integer quantum they bail every shared access
-    (see :mod:`repro.vliw.compiled`).
+    global minimum cycle: compiled regions perform the access
+    **inline** through the arbitrated core port at region entry,
+    bailing to the interpreter only for accesses past the entry packet,
+    which re-enter as region entries on the next round (see
+    :mod:`repro.vliw.compiled`).  The quantum only picks the barrier.
 
 Adaptive run-ahead
     ``quantum="adaptive"`` (the default) keeps the quantum-1 round
@@ -317,7 +316,7 @@ class _CoreSlot:
                  arbiter: SharedBusArbiter,
                  sync_rate: float, bridge_stall: int,
                  sync_access_stall: int, strict: bool,
-                 tier=None, inline_shared: bool = True) -> None:
+                 tier=None) -> None:
         from repro.vliw.codegen import resolve_backend
 
         try:
@@ -357,8 +356,7 @@ class _CoreSlot:
             from repro.vliw.compiled import PacketCompiler
 
             self._compiler = PacketCompiler(self.core, backend=backend,
-                                            tier=tier,
-                                            inline_shared=inline_shared)
+                                            tier=tier)
         else:
             self._compiler = None
 
@@ -456,13 +454,12 @@ class MultiCoreSoC:
     Programs that never touch the segment behave exactly as on the
     partition-only SoC.
 
-    *quantum* selects the lockstep scheduling mode: ``"adaptive"`` (the
+    *quantum* selects the lockstep barrier: ``"adaptive"`` (the
     default) runs quantum-1 rounds with provably-private run-ahead
-    windows and inline shared-access calls in compiled code — the fast
-    path, observable-identical to ``quantum=1``; an integer runs the
-    historical fixed-quantum barrier with the bail-every-shared-access
-    emitter (``quantum=1`` is the reference baseline the lockstep
-    differential contract compares against).
+    windows — the fast path, observable-identical to ``quantum=1``; an
+    integer runs the fixed-quantum barrier.  ``quantum=1`` on interp
+    cores is the oracle of the lockstep differential contract; an
+    integer above 1 coarsens arbitration and may change observables.
 
     *node*/*nodes* give the SoC its identity inside a
     :class:`~repro.vliw.cluster.Cluster` (the fabric endpoint's node-id
@@ -530,19 +527,13 @@ class MultiCoreSoC:
         self.fabric_endpoint = FabricEndpoint(node, nodes)
         self.bus.attach(self.shared_map.addr(self.shared_map.fabric),
                         self.fabric_endpoint, "fabric")
-        # the adaptive quantum pairs with the inline-shared emitter (the
-        # fast path); an integer quantum keeps the historical
-        # bail-every-shared-access emitter, so ``quantum=1`` is the
-        # reference baseline of the lockstep differential contract
-        inline = quantum == "adaptive"
         self.slots = [
             _CoreSlot(i, program_list[i], backend_list[i], self.bus, n,
                       self.arbiter, sync_rate, bridge_stall,
-                      sync_access_stall, strict, tier=tier,
-                      inline_shared=inline)
+                      sync_access_stall, strict, tier=tier)
             for i in range(n)
         ]
-        if inline:
+        if quantum == "adaptive":
             self.barrier: LockstepBarrier = AdaptiveLockstepBarrier(
                 self.slots, on_round=self._begin_round)
         else:

@@ -54,6 +54,25 @@ def translated():
     return get
 
 
+@pytest.fixture(scope="module")
+def snapshot(translated):
+    """Memoized :func:`_snapshot` of one 2+-core run, keyed by
+    (program, cores, backend, quantum): the interp ``quantum=1`` oracle
+    is computed once per (program, cores) however many backends are
+    compared against it."""
+    cache = {}
+
+    def get(name, cores, backend, quantum):
+        key = (name, cores, backend, quantum)
+        if key not in cache:
+            cache[key] = _snapshot(MultiCoreSoC(
+                translated(name), cores=cores, backends=backend,
+                quantum=quantum).run())
+        return cache[key]
+
+    return get
+
+
 # -- footprint analysis ------------------------------------------------------
 
 
@@ -285,16 +304,14 @@ class TestLockstepDifferentialContract:
     @pytest.mark.parametrize("backend", _backend_list())
     @pytest.mark.parametrize("name", shared_program_names())
     def test_adaptive_matches_quantum1_all_backends(self, name, backend,
-                                                    translated):
-        """2-core sweep of every backend; the 2–4-core interp sweep
-        above pins the core-count axis (interp is where the arbitration
-        schedule is computed; the backends must reproduce it)."""
-        program = translated(name)
-        baseline = MultiCoreSoC(program, cores=2, backends=backend,
-                                quantum=1).run()
-        adaptive = MultiCoreSoC(program, cores=2, backends=backend,
-                                quantum="adaptive").run()
-        assert _snapshot(adaptive) == _snapshot(baseline)
+                                                    snapshot):
+        """2-core sweep of every backend, both modes against the interp
+        ``quantum=1`` oracle; the 2–4-core interp sweep above pins the
+        core-count axis (interp is where the arbitration schedule is
+        computed; the backends must reproduce it)."""
+        oracle = snapshot(name, 2, "interp", 1)
+        assert snapshot(name, 2, backend, 1) == oracle
+        assert snapshot(name, 2, backend, "adaptive") == oracle
 
     def test_adaptive_collapses_rounds(self, translated):
         """The point of the whole exercise: the communicating workload
@@ -310,21 +327,17 @@ class TestLockstepDifferentialContract:
         assert adaptive.lockstep["rounds"] * 50 < baseline.lockstep["rounds"]
 
     def test_inline_shared_calls_replace_bails(self, translated):
-        """Under the inline emitter no compiled region bails a shared
-        access to the interpreter; under quantum=1 (the legacy bail
-        emitter) every shared access does."""
+        """There is one shared-access rendering: in either lockstep
+        mode compiled regions perform shared accesses inline and none
+        bails to the interpreter."""
         program = translated("mbox_pingpong")
-        adaptive = MultiCoreSoC(program, cores=2, backends="compiled",
-                                quantum="adaptive").run()
-        baseline = MultiCoreSoC(program, cores=2, backends="compiled",
-                                quantum=1).run()
-        inline = sum(c["inline_shared_calls"]
-                     for c in adaptive.lockstep["per_core"])
-        assert inline > 0
-        assert sum(c["interp_bails"]
-                   for c in adaptive.lockstep["per_core"]) == 0
-        assert sum(c["inline_shared_calls"]
-                   for c in baseline.lockstep["per_core"]) == 0
+        for quantum in ("adaptive", 1):
+            result = MultiCoreSoC(program, cores=2, backends="compiled",
+                                  quantum=quantum).run()
+            per_core = result.lockstep["per_core"]
+            assert sum(c["inline_shared_calls"] for c in per_core) > 0, \
+                quantum
+            assert sum(c["interp_bails"] for c in per_core) == 0, quantum
 
     def test_fixed_quantum_still_supported(self, translated):
         """An explicit integer quantum keeps the historical fixed-window

@@ -130,6 +130,22 @@ class TestNativeRuntime:
         context = compiler.native_context
         assert context is not None and context.regions_native > 0
 
+    @pytest.mark.parametrize("backend", ("native", "tiered"))
+    @pytest.mark.parametrize("name,level", (("gcd", 0), ("crc32", 3)))
+    def test_pickled_program_generates_no_region(self, name, level,
+                                                 backend):
+        """Pickled straight after precompile, with no parent run first:
+        the shipped caches must already hold the Python entries the
+        native runtime resumes at when a superblock bails at a device
+        packet past its entry."""
+        program = translate(build(name), level=level).program
+        interp = _run(program, "interp").observables()
+        precompile_program(program, backend=backend)
+        clone = pickle.loads(pickle.dumps(program))
+        platform = PrototypingPlatform(clone, backend=backend)
+        assert platform.run().observables() == interp
+        assert platform._compiler.regions_generated == 0
+
     def test_run_slice_lockstep_quanta(self):
         """Driving native in 1-cycle lockstep quanta (the multi-core
         scheduling pattern) must not change observables."""

@@ -151,3 +151,26 @@ class TestDiskCache:
         compiler = PacketCompiler(platform.core, backend="native")
         assert compiler.native_context is None
         assert NativeContext.attach(compiler) is None
+
+    def test_pickled_program_rebuilds_module_on_cold_cache(
+            self, fresh_cache, tmp_path, monkeypatch):
+        """A worker on an empty cache rebuilds the shipped module from
+        the shipped IR: the device-packet entries precompile adds after
+        fixing the plan must not leak into the rebuilt module."""
+        import pickle
+
+        from repro.vliw.compiled import precompile_program
+
+        program = translate(build("gcd"), level=0).program
+        precompile_program(program, backend="native")
+        clone = pickle.loads(pickle.dumps(program))
+        cold = tmp_path / "cold"
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cold))
+        monkeypatch.setattr(native_mod, "_LOADED", {})
+        platform, compiler = _attach(clone)
+        assert compiler.native_context is not None
+        digest, _plan = clone._native_plans[compiler.cache_params]
+        assert (cold / f"{digest}.so").exists()
+        interp = PrototypingPlatform(program,
+                                     backend="interp").run().observables()
+        assert platform.run().observables() == interp
